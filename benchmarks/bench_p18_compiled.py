@@ -1,4 +1,5 @@
-"""P18 — compiled tier + sharded workers vs fused, with a native roofline.
+"""P18 — tiled compiled engine + sharded workers vs whole-array relaxation,
+with a native roofline.
 
 The compiled engine's headline artefact (docs/performance.md, "The
 compiled tier and the native roofline"): cache-blocked min-plus kernels
@@ -6,9 +7,13 @@ compiled tier and the native roofline"): cache-blocked min-plus kernels
 (``all_pairs_minimum_cost(workers=...)``), judged two ways on the same
 instances:
 
-* **against our own engines** — bit-identical to ``fused`` (and, through
-  the differential suite, to ``cycle``) on every ledger, and at least
-  ``MIN_SPEEDUP``x faster on the batched n=1024 APSP with ``workers > 1``;
+* **against whole-array relaxation** — the same compiled APSP with
+  :func:`~repro.engine.compiled.row_block` patched to ``n``, so every
+  relaxation computes the full ``(lanes, n, n)`` candidate array in one
+  pass. The default tiles plus ``workers > 1`` must be bit-identical on
+  every ledger (and, through the differential suite, to ``cycle``) and
+  at least ``MIN_SPEEDUP``x faster on the batched n=1024 APSP — a
+  same-host ratio;
 * **against a native CPU baseline** — Δ-stepping
   (:mod:`repro.baselines.delta_stepping`), the standard parallel
   shortest-path algorithm, sharded over the same worker processes. This
@@ -21,20 +26,21 @@ deterministic and drift-guarded by ``benchmarks/check_drift.py`` (entries
 with ``n <= DRIFT_GUARD_MAX_N`` — the larger entries' counters are
 pinned by the in-run equality assertions instead, to keep the CI guard
 fast); wall-times are environment-dependent and excluded. The full
-artefact run takes several minutes — the n=1024 fused reference sweep
-dominates, which is precisely the point being measured.
+artefact run takes several minutes — the n=1024 whole-array reference
+sweep dominates, which is precisely the point being measured.
 """
 
 import json
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from repro.baselines import delta_stepping, delta_stepping_all_pairs
 from repro.core import all_pairs_minimum_cost
 from repro.core.batched import batched_minimum_cost_path
-from repro.engine import compiled_kernel_info
+from repro.engine import compiled, compiled_kernel_info
 from repro.ppa import PPAConfig, PPAMachine
 from repro.workloads import WeightSpec, gnp_digraph
 
@@ -46,8 +52,8 @@ WORKERS = 2
 LANES = 16
 
 #: Full-sweep roofline sizes. n=1024 is the acceptance point; 2048 is
-#: measured on a destination subset (a full fused sweep there would take
-#: an hour for no extra information).
+#: measured on a destination subset (a full whole-array sweep there would
+#: take an hour for no extra information).
 FULL_SIZES = (256, 512, 1024)
 SUBSET_N = 2048
 SUBSET_DESTS = 32
@@ -76,6 +82,14 @@ def _timed(fn, rounds: int):
     return best, result
 
 
+def _whole_array(fn):
+    """Run *fn* with one candidate tile covering every row."""
+    def run():
+        with mock.patch.object(compiled, "row_block", lambda batch, n: n):
+            return fn()
+    return run
+
+
 def _assert_apsp_equal(a, b, context: str) -> None:
     assert np.array_equal(a.dist, b.dist), context
     assert np.array_equal(a.succ, b.succ), context
@@ -100,7 +114,7 @@ def test_p18_compiled_headline():
             )
 
         sweep("compiled")()  # warm cost-vector probe + allocator
-        t_fused, res_fused = _timed(sweep("fused"), rounds)
+        t_whole, res_whole = _timed(_whole_array(sweep("compiled")), rounds)
         t_compiled, res_compiled = _timed(sweep("compiled"), rounds)
         t_workers, res_workers = _timed(
             sweep("compiled", workers=WORKERS), rounds
@@ -111,8 +125,8 @@ def test_p18_compiled_headline():
             rounds,
         )
 
-        _assert_apsp_equal(res_compiled, res_fused, f"compiled@{n}")
-        _assert_apsp_equal(res_workers, res_fused, f"workers@{n}")
+        _assert_apsp_equal(res_compiled, res_whole, f"compiled@{n}")
+        _assert_apsp_equal(res_workers, res_whole, f"workers@{n}")
         assert res_workers.shard_report["workers"] == WORKERS
         assert np.array_equal(res_delta.dist, res_compiled.dist), n
 
@@ -122,22 +136,22 @@ def test_p18_compiled_headline():
             "lanes": LANES,
             "workers": WORKERS,
             "rounds": rounds,
-            "fused_seconds": round(t_fused, 4),
+            "whole_array_seconds": round(t_whole, 4),
             "compiled_seconds": round(t_compiled, 4),
             "compiled_workers_seconds": round(t_workers, 4),
             "delta_seconds": round(t_delta, 4),
-            "speedup_workers_vs_fused": round(t_fused / t_workers, 2),
-            "iterations_total": int(res_fused.iterations.sum()),
+            "speedup_workers_vs_whole_array": round(t_whole / t_workers, 2),
+            "iterations_total": int(res_whole.iterations.sum()),
             "counters_serial_equivalent": {
-                k: int(v) for k, v in res_fused.counters.items()
+                k: int(v) for k, v in res_whole.counters.items()
             },
         })
 
     at = {e["n"]: e for e in entries}[SPEEDUP_AT_N]
-    assert at["speedup_workers_vs_fused"] >= MIN_SPEEDUP, (
-        f"compiled+workers speedup {at['speedup_workers_vs_fused']}x at "
-        f"n={SPEEDUP_AT_N} below the {MIN_SPEEDUP}x bar "
-        f"(fused {at['fused_seconds']}s, "
+    assert at["speedup_workers_vs_whole_array"] >= MIN_SPEEDUP, (
+        f"compiled+workers speedup {at['speedup_workers_vs_whole_array']}x "
+        f"at n={SPEEDUP_AT_N} below the {MIN_SPEEDUP}x bar "
+        f"(whole-array {at['whole_array_seconds']}s, "
         f"workers {at['compiled_workers_seconds']}s)"
     )
 
@@ -173,11 +187,11 @@ def test_p18_compiled_headline():
         "lanes": LANES,
         "workers": 1,
         "rounds": 1,
-        "fused_seconds": None,
+        "whole_array_seconds": None,
         "compiled_seconds": round(t_compiled_sub, 4),
         "delta_seconds": round(t_delta_sub, 4),
-        "note": "destination subset; fused omitted (a full fused sweep "
-                "at n=2048 adds nothing but hours)",
+        "note": "destination subset; whole-array omitted (a full "
+                "whole-array sweep at n=2048 adds nothing but hours)",
     }
 
     # --- cheap equivalence instance for the CI drift guard -------------
@@ -186,15 +200,15 @@ def test_p18_compiled_headline():
         PPAMachine(PPAConfig(n=EQUIV_N, word_bits=WORD_BITS)), W_eq,
         engine="compiled", lanes=LANES,
     )
-    res_eq_fused = all_pairs_minimum_cost(
+    res_eq_whole = _whole_array(lambda: all_pairs_minimum_cost(
         PPAMachine(PPAConfig(n=EQUIV_N, word_bits=WORD_BITS)), W_eq,
-        engine="fused", lanes=LANES,
-    )
-    _assert_apsp_equal(res_eq, res_eq_fused, "equivalence")
+        engine="compiled", lanes=LANES,
+    ))()
+    _assert_apsp_equal(res_eq, res_eq_whole, "equivalence")
 
     _ARTIFACT.parent.mkdir(exist_ok=True)
     _ARTIFACT.write_text(json.dumps({
-        "schema": "repro-bench-p18-v1",
+        "schema": "repro-bench-p18-v2",
         "workload": {
             "family": "gnp", "seed": SEED, "degree": DEGREE,
             "word_bits": WORD_BITS, "weights": [1, 9],

@@ -102,10 +102,10 @@ def _check_p2(path: Path, regen_unused=None) -> list[str]:
 def _check_p17(path: Path) -> list[str]:
     """Exact counter comparison for the P17 engine artefact.
 
-    Both sections regenerate through the *fused* engine (fast); fused ==
-    cycle bit-for-bit is asserted by ``bench_p17_engines.py`` and the
-    ``tests/engine/`` differential suite, so any drift caught here is a
-    genuine cost-model change.
+    Both sections regenerate through the *compiled* engine (fast);
+    compiled == cycle bit-for-bit is asserted by ``bench_p17_engines.py``
+    and the ``tests/engine/`` differential suite, so any drift caught here
+    is a genuine cost-model change.
     """
     from repro.core import all_pairs_minimum_cost, minimum_cost_path
     from repro.ppa import PPAConfig, PPAMachine
@@ -129,7 +129,7 @@ def _check_p17(path: Path) -> list[str]:
     wl = apsp["workload"]
     res = all_pairs_minimum_cost(
         PPAMachine(PPAConfig(n=wl["n"], word_bits=wl["word_bits"])),
-        _graph(wl), engine="fused",
+        _graph(wl), engine="compiled",
     )
     if apsp["iterations"] != [int(i) for i in res.iterations]:
         diffs.append("apsp.iterations: per-destination counts drifted")
@@ -142,7 +142,7 @@ def _check_p17(path: Path) -> list[str]:
     wl = mcp["workload"]
     res = minimum_cost_path(
         PPAMachine(PPAConfig(n=wl["n"], word_bits=wl["word_bits"])),
-        _graph(wl), wl["destination"], engine="fused",
+        _graph(wl), wl["destination"], engine="compiled",
     )
     if mcp["iterations"] != int(res.iterations):
         diffs.append(f"mcp_n512.iterations: {mcp['iterations']} -> "
@@ -184,9 +184,9 @@ def _check_t16(path: Path) -> list[str]:
 def _check_p18(path: Path) -> list[str]:
     """Exact counter comparison for the P18 compiled/roofline artefact.
 
-    Regenerates through the *compiled* engine (the fastest tier; compiled
-    == fused == cycle bit-for-bit is asserted by ``bench_p18_compiled.py``
-    and the ``tests/engine/`` differential suites). Full-sweep roofline
+    Regenerates through the *compiled* engine (compiled == cycle
+    bit-for-bit is asserted by ``bench_p18_compiled.py`` and the
+    ``tests/engine/`` differential suites). Full-sweep roofline
     entries up to the artefact's ``drift_guard_max_n`` are re-run — the
     larger entries' counters are pinned inside the benchmark itself,
     where the in-run equality assertions make a CI-sized re-run
@@ -352,8 +352,8 @@ EXPECTED_SCHEMAS = {
     "BENCH_t5_hypercube.json": ("format", "repro-profile-v1"),
     "BENCH_t5_mesh.json": ("format", "repro-profile-v1"),
     "BENCH_p2_batching.json": ("schema", "repro-bench-p2-v1"),
-    "BENCH_p17_engines.json": ("schema", "repro-bench-p17-v1"),
-    "BENCH_p18_compiled.json": ("schema", "repro-bench-p18-v1"),
+    "BENCH_p17_engines.json": ("schema", "repro-bench-p17-v2"),
+    "BENCH_p18_compiled.json": ("schema", "repro-bench-p18-v2"),
     "BENCH_p19_serving.json": ("schema", "repro-bench-p19-v1"),
     "BENCH_p20_coalescing.json": ("schema", "repro-bench-p20-v1"),
     "BENCH_t16_resilience.json": ("schema", "repro-bench-t16-v1"),

@@ -28,15 +28,15 @@ profile; ``--trace-format chrome`` emits Chrome ``trace_event`` JSON for
 chrome://tracing / Perfetto instead of the native schema) and ``--trace``
 (print the bus transaction log summary; PPA architecture only).
 
-``mcp``, ``apsp`` and ``profile`` accept ``--engine {auto,cycle,fused}``
+``mcp``, ``apsp`` and ``profile`` accept ``--engine {auto,cycle,compiled}``
 (see docs/performance.md, "Choosing an engine"). ``auto`` — the default —
-runs the fused analytic-cost engine whenever the machine is eligible and
+runs the compiled analytic engine whenever the machine is eligible and
 silently falls back to the faithful cycle engine otherwise. An explicit
-``--engine fused`` combined with anything that needs per-transaction
-execution (``--resilient``, ``--fault*``, ``--trace``, ``--profile``,
-``--word-parallel``, a non-PPA ``--arch``) prints a note naming the
-blocking condition and runs the cycle engine — exit code 0, results and
-counters identical either way.
+``--engine compiled`` combined with anything that needs per-transaction
+execution (``--resilient``, ``--fault*``, ``--trace``, ``--profile``, the
+``profile`` command's span tracer, ``--word-parallel``, a non-PPA
+``--arch``) prints a note naming the blocking condition and runs the
+cycle engine — exit code 0, results and counters identical either way.
 
 ``mcp``, ``apsp`` and ``selftest`` accept fault-injection flags
 (``--fault``, ``--fault-intermittent``, ``--fault-transient``,
@@ -386,10 +386,9 @@ def _add_engine_flag(sub: argparse.ArgumentParser) -> None:
         "--engine",
         choices=ENGINE_NAMES,
         default="auto",
-        help="execution engine: 'auto' (default) runs the fastest eligible "
-        "analytic tier — cache-blocked 'compiled' kernels on large grids, "
-        "'fused' whole-array kernels below — and falls back to the "
-        "faithful cycle engine otherwise; results and counters are "
+        help="execution engine: 'auto' (default) runs the analytic "
+        "'compiled' engine when the machine is eligible and falls back to "
+        "the faithful cycle engine otherwise; results and counters are "
         "bit-identical (see docs/performance.md)",
     )
 
@@ -406,19 +405,19 @@ def _effective_engine(
 
     ``auto``/``cycle`` pass through untouched (``auto`` falls back
     silently inside :func:`repro.engine.select.resolve_engine`). An
-    explicit ``fused`` or ``compiled`` request that cannot be honoured
+    explicit ``compiled`` request that cannot be honoured
     prints a note naming the blocking condition and downgrades to
     ``cycle`` — the CLI never fails a run over an engine preference
     (exit 0).
     """
     engine = getattr(args, "engine", "auto")
-    if engine not in ("fused", "compiled"):
+    if engine != "compiled":
         return engine
-    from repro.engine import fused_block_reason
+    from repro.engine import compiled_block_reason
 
     reason = None
     if not ppa:
-        reason = f"--arch {args.arch} has no {engine} engine (PPA only)"
+        reason = f"--arch {args.arch} has no compiled engine (PPA only)"
     elif resilient:
         reason = (
             "--resilient detects and recovers per-transaction faults, "
@@ -427,7 +426,7 @@ def _effective_engine(
     elif word_parallel:
         reason = "--word-parallel swaps in non-default reduction routines"
     elif machine is not None:
-        reason = fused_block_reason(machine)
+        reason = compiled_block_reason(machine)
     if reason is None:
         return engine
     print(f"note: engine '{engine}' unavailable: {reason}; "
@@ -774,7 +773,7 @@ def _cmd_mcp(args) -> int:
     _check_ppa_only_flags(args)
 
     if args.resilient:
-        _effective_engine(args, resilient=True)  # note on --engine fused
+        _effective_engine(args, resilient=True)  # note on --engine compiled
         machine, executor = _resilient_executor(args, n)
         res = executor.run(W, d, raise_on_failure=False)
         print(f"minimum cost paths to vertex {d} on resilient ppa "
@@ -852,7 +851,7 @@ def _cmd_apsp(args) -> int:
             print("note: --workers ignored with --resilient (fault "
                   "recovery observes individual transactions; running "
                   "inline)")
-        _effective_engine(args, resilient=True)  # note on --engine fused
+        _effective_engine(args, resilient=True)  # note on --engine compiled
         machine, executor = _resilient_executor(args, n)
         res = executor.run_batched(
             W, list(range(n)), raise_on_failure=False
@@ -962,13 +961,12 @@ def _cmd_profile(args) -> int:
     d = args.destination
 
     machine, run = _make_machine_and_runner(args.arch, n, args.word_bits)
-    engine = getattr(args, "engine", "auto")
-    if engine == "fused":
-        print("note: engine 'fused' unavailable: the profiler's span "
-              "tracer needs per-transaction cycle spans; running the "
-              "cycle engine (results are identical)")
-        engine = "cycle"
     with machine.telemetry.capture():
+        engine = _effective_engine(
+            args,
+            machine if args.arch == "ppa" else None,
+            ppa=args.arch == "ppa",
+        )
         result = run(W, d, engine=engine)
     profile = RunProfile.from_tracer(
         machine.telemetry, command="profile", arch=args.arch, n=n, d=d,

@@ -130,10 +130,10 @@ def all_pairs_minimum_cost(
         bound the ``O(lanes * n^2)`` working set on big grids.
     engine
         Execution engine per destination batch: ``"auto"`` (default) runs
-        the fused analytic-cost engine when eligible — which is the normal
+        the compiled analytic engine when eligible — which is the normal
         case for plain sweeps — and the cycle engine otherwise (profiling,
         fault plans, ``word_parallel=True`` ablations). Forcing
-        ``"cycle"``/``"fused"``/``"compiled"`` is forwarded verbatim;
+        ``"cycle"``/``"compiled"`` is forwarded verbatim;
         results and all counter books are bit-identical either way (see
         :mod:`repro.engine`).
     workers
@@ -156,7 +156,7 @@ def all_pairs_minimum_cost(
         Optional ``(n, n)`` plane of certified upper bounds laid out like
         :attr:`APSPResult.dist` (``warm_sow[:, d]`` seeds destination
         ``d``; ``maxint`` for "no bound"). Honoured on the inline batched
-        sweep through the analytic engines — the serving tier's
+        sweep through the compiled engine — the serving tier's
         incremental re-solve path — where each batch is seeded with
         ``warm_sow[:, dests].T`` and returns cold-identical
         ``dist``/``succ``/``iterations`` (see

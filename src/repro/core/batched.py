@@ -193,15 +193,14 @@ def batched_minimum_cost_path(
     zero_diagonal, max_iterations, min_routine, selected_min_routine
         As in :func:`repro.core.mcp.minimum_cost_path`.
     engine
-        ``"auto"`` (default) upgrades to the fastest eligible analytic
-        tier — ``compiled`` on large grids, ``fused`` below — on eligible
-        machines (see :mod:`repro.engine`); ``"cycle"``/``"fused"``/
+        ``"auto"`` (default) upgrades to the ``compiled`` analytic engine
+        on eligible machines (see :mod:`repro.engine`); ``"cycle"``/
         ``"compiled"`` force one. Results and both counter books are
         bit-identical every way.
     warm_sow
         Optional ``(B, n)`` plane of certified per-lane upper bounds
-        (``maxint`` rows for unseeded lanes); the analytic tiers
-        warm-start from it and reconstruct cold-trajectory PTN/iteration
+        (``maxint`` rows for unseeded lanes); the compiled engine
+        warm-starts from it and reconstructs cold-trajectory PTN/iteration
         counts (see :func:`repro.core.mcp.minimum_cost_path`). The cycle
         engine ignores it.
 
@@ -217,21 +216,10 @@ def batched_minimum_cost_path(
         min_routine=min_routine,
         selected_min_routine=selected_min_routine,
     )
-    if choice.compiled:
+    if choice.name == "compiled":
         from repro.engine.compiled import compiled_batched_minimum_cost_path
 
         return compiled_batched_minimum_cost_path(
-            machine,
-            W,
-            destinations,
-            zero_diagonal=zero_diagonal,
-            max_iterations=max_iterations,
-            warm_sow=warm_sow,
-        )
-    if choice.fused:
-        from repro.engine.fused import fused_batched_minimum_cost_path
-
-        return fused_batched_minimum_cost_path(
             machine,
             W,
             destinations,

@@ -84,20 +84,19 @@ def minimum_cost_path(
         by default; :mod:`repro.core.variants` injects the word-parallel
         ones for ablation A7.
     engine
-        ``"auto"`` (default) runs the fastest eligible analytic tier —
-        ``compiled`` (cache-blocked kernels) on large grids, ``fused``
-        below that — whenever the machine is eligible (no fault plan,
-        span tracer, bus trace or non-default reduction routines) and the
-        faithful cycle engine otherwise; ``"cycle"``/``"fused"``/
-        ``"compiled"`` force one (the analytic tiers raise
+        ``"auto"`` (default) runs the ``compiled`` analytic engine
+        whenever the machine is eligible (no fault plan, span tracer, bus
+        trace or non-default reduction routines) and the faithful cycle
+        engine otherwise; ``"cycle"``/``"compiled"`` force one (the
+        analytic engine raises
         :class:`~repro.errors.EngineError` on an ineligible machine). All
         engines return bit-identical results and counters; see
         :mod:`repro.engine`.
     warm_sow
         Optional ``(n,)`` plane of certified upper bounds on the true
         distances-to-``d`` (each finite entry the cost of an actual path
-        under *W*; ``maxint`` for "no bound"). The analytic tiers seed
-        relaxation from ``min(cold_seed, warm_sow)`` and reconstruct the
+        under *W*; ``maxint`` for "no bound"). The compiled engine seeds
+        relaxation from ``min(cold_seed, warm_sow)`` and reconstructs the
         cold-trajectory PTN/iteration count, so SOW, PTN and
         ``iterations`` stay bit-identical to a cold solve while counters
         charge only the rounds actually executed (see
@@ -117,21 +116,10 @@ def minimum_cost_path(
         min_routine=min_routine,
         selected_min_routine=selected_min_routine,
     )
-    if choice.compiled:
+    if choice.name == "compiled":
         from repro.engine.compiled import compiled_minimum_cost_path
 
         return compiled_minimum_cost_path(
-            machine,
-            W,
-            d,
-            zero_diagonal=zero_diagonal,
-            max_iterations=max_iterations,
-            warm_sow=warm_sow,
-        )
-    if choice.fused:
-        from repro.engine.fused import fused_minimum_cost_path
-
-        return fused_minimum_cost_path(
             machine,
             W,
             d,

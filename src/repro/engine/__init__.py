@@ -5,35 +5,26 @@
     every bus primitive is individually executed and charged. Required for
     fault plans, span tracing, bus traces and reduction-routine ablations.
 
-``fused``
-    The analytic-cost engine (:mod:`repro.engine.fused`): each relaxation
-    round is a few vectorised numpy kernels, and the counters are charged
-    from a per-configuration cost vector replayed off the cycle engine
-    (:mod:`repro.engine.costs`). Bit-identical results and ledgers, orders
-    of magnitude less Python dispatch — the ``n = 64``..``255`` regime.
-
 ``compiled``
-    The cache-blocked tier (:mod:`repro.engine.compiled`): the same
-    analytic replay, but the min-plus relaxation runs in L2-resident row
-    tiles (optionally JIT'd via numba when installed — never required).
-    The large-grid regime; ``auto`` prefers it from
-    ``n >= COMPILED_AUTO_MIN_N``.
+    The analytic engine (:mod:`repro.engine.compiled`): each relaxation
+    round is a few cache-blocked numpy kernels, and the counters are
+    charged from a per-configuration cost vector replayed off the cycle
+    engine (:mod:`repro.engine.costs`). Bit-identical results and ledgers,
+    orders of magnitude less Python dispatch.
 
 ``auto`` (default everywhere)
-    :func:`~repro.engine.select.resolve_engine` upgrades to the fastest
-    eligible analytic tier and silently falls back to ``cycle`` otherwise.
+    :func:`~repro.engine.select.resolve_engine` upgrades to ``compiled``
+    on eligible machines and silently falls back to ``cycle`` otherwise.
 
 Process-parallel APSP destination sharding (:mod:`repro.engine.shard`)
-composes with any tier through ``all_pairs_minimum_cost(workers=...)``.
+composes with either engine through ``all_pairs_minimum_cost(workers=...)``.
 """
 
 from repro.engine.compiled import (
-    HAS_NUMBA,
     blocked_relax,
     compiled_batched_minimum_cost_path,
     compiled_kernel_info,
     compiled_minimum_cost_path,
-    numba_active,
     row_block,
 )
 from repro.engine.costs import (
@@ -46,18 +37,10 @@ from repro.engine.costs import (
     mcp_cost_vector,
     reset_cost_cache_stats,
 )
-from repro.engine.fused import (
-    fused_batched_minimum_cost_path,
-    fused_minimum_cost_path,
-)
 from repro.engine.select import (
-    COMPILED_AUTO_MIN_N,
-    ENGINE_DEGRADE_ORDER,
     ENGINE_NAMES,
     EngineChoice,
     compiled_block_reason,
-    degrade_engine,
-    fused_block_reason,
     resolve_engine,
 )
 from repro.engine.shard import (
@@ -72,9 +55,7 @@ from repro.engine.shard import (
 
 __all__ = [
     "ENGINE_NAMES",
-    "COMPILED_AUTO_MIN_N",
     "EngineChoice",
-    "fused_block_reason",
     "compiled_block_reason",
     "resolve_engine",
     "MCPCostVector",
@@ -85,10 +66,6 @@ __all__ = [
     "reset_cost_cache_stats",
     "export_cost_cache",
     "install_cost_cache",
-    "fused_minimum_cost_path",
-    "fused_batched_minimum_cost_path",
-    "HAS_NUMBA",
-    "numba_active",
     "row_block",
     "blocked_relax",
     "compiled_kernel_info",
@@ -101,6 +78,4 @@ __all__ = [
     "ShardFailure",
     "set_shard_chaos",
     "clear_shard_chaos",
-    "ENGINE_DEGRADE_ORDER",
-    "degrade_engine",
 ]

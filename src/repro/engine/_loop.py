@@ -1,16 +1,15 @@
-"""The shared analytic-cost MCP loop.
+"""The analytic-cost MCP loop.
 
-Both analytic tiers — ``fused`` (whole-array kernels) and ``compiled``
-(cache-blocked kernels, optional numba) — run the *same* control flow:
-init row-``d`` state, relax until convergence, charge counters by
-replaying the per-configuration cost vector (:mod:`repro.engine.costs`).
-The only difference between the tiers is the relaxation kernel, so the
-loop lives here once, parameterised by a ``relax(sow, W, maxint)``
-callable, and the per-tier modules stay thin. Anything pinned about the
-fused engine's semantics (smallest-index tie-break, convergence masking,
-lane ledgers, the ``MIN_SOW[d, d] = 0`` invariant) is pinned about this
-loop — the differential suite in ``tests/engine/`` exercises it through
-both tiers.
+The compiled engine's control flow: init row-``d`` state, relax until
+convergence, charge counters by replaying the per-configuration cost
+vector (:mod:`repro.engine.costs`). The loop is parameterised by a
+``relax(sow, W, maxint)`` callable —
+:func:`repro.engine.compiled.blocked_relax`, looked up by the caller at
+call time so instrumentation can wrap it. Anything pinned
+about the analytic engine's semantics (smallest-index tie-break,
+convergence masking, lane ledgers, the ``MIN_SOW[d, d] = 0`` invariant)
+is pinned about this loop — the differential suite in ``tests/engine/``
+exercises it against the cycle engine.
 """
 
 from __future__ import annotations
@@ -106,7 +105,7 @@ def run_analytic_mcp(
 ) -> MCPResult:
     """Single-destination MCP with counters replayed from the cost vector.
 
-    *relax* is the tier's kernel: ``relax(sow, W, maxint) -> (new_sow,
+    *relax* is the relaxation kernel: ``relax(sow, W, maxint) -> (new_sow,
     arg)`` with ``arg`` the smallest-index argmin per row (the bit-serial
     ``selected_min`` tie-break). Eligibility is the caller's job.
 

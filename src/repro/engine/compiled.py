@@ -1,42 +1,53 @@
-"""The compiled (cache-blocked, optionally JIT'd) MCP engine tier.
+"""The compiled (cache-blocked) analytic MCP engine.
 
-Third engine tier below ``fused`` (see :mod:`repro.engine.select`). The
-fused engine materialises the whole ``(..., n, n)`` candidate matrix per
-relaxation round and then walks it twice more (``min`` + ``argmin``) —
-at ``n >= 1024`` those temporaries are hundreds of megabytes and every
-pass streams them through DRAM. The compiled tier computes the *same*
-relaxation in row tiles sized to stay cache-resident:
+One relaxation round of the paper's Section 3 loop — row-``d`` broadcast +
+saturating add, wired-OR minimum, selected-min PTN recovery, diagonal
+writeback, convergence test — collapses into a handful of whole-array
+numpy kernels, because the algorithm's *live* state is only the ``d``-th
+row of ``SOW``/``PTN`` (everything else is recomputed from it each round):
 
-* **pure-numpy blocked kernel** (always available): the candidate block
-  ``min(sow[..., None, :] + W[i0:i1], MAXINT)`` holds only
-  ``B x rows x n`` words, with ``rows`` chosen so the block is ~1 MiB
-  (:func:`row_block`); min/argmin run per block while it is still hot.
-  ~4-5x over the fused kernel at ``n = 1024`` on one core, identical
-  output bit for bit (numpy ``argmin`` keeps the smallest-index
-  tie-break per block, and the cross-block merge uses a strict ``<`` so
-  the first block achieving the minimum wins — exactly the bit-serial
-  ``selected_min`` semantics).
-* **numba fast path** (optional, detected at import, never required):
-  ``@njit(parallel=True)`` single-pass min+argmin over the rows. Absent
-  numba — or with ``REPRO_DISABLE_NUMBA`` set — the numpy tiling runs;
-  results are bit-identical either way, so CI exercises both sides of
-  the detection with the same golden ledgers.
+====================================  =====================================
+cycle engine (per round)              compiled kernel
+====================================  =====================================
+broadcast row d + ``sat_add``         ``cand = min(sow[j] + W[i, j], MAXINT)``
+``h``-round bit-serial wired-OR min   ``cand.min(axis=-1)``
+selected-min over ``COL``             ``cand.argmin(axis=-1)`` (first
+                                      occurrence == smallest column index,
+                                      the bit-serial tie-break)
+diagonal writeback, masked PTN store  ``where(changed, arg, ptn)`` with
+                                      ``new_sow[d] = 0`` (the never-stored
+                                      ``MIN_SOW[d, d] = 0`` invariant)
+controller ``global_or``              ``changed.any()``
+====================================  =====================================
 
-Counters are **replayed** from the same per-configuration analytic cost
-vectors as the fused engine (:mod:`repro.engine.costs`), through the same
-shared loop (:mod:`repro.engine._loop`): SOW/PTN/iteration counts, the
-scalar counter book and every per-lane serial-equivalent ledger are
-bit-identical to both the ``cycle`` and ``fused`` engines. The
-differential suite in ``tests/engine/test_compiled.py`` pins this across
-graphs, word widths, lane counts and block sizes.
+The candidate matrix is computed in row tiles sized to stay
+cache-resident: a tile ``min(sow[..., None, :] + W[i0:i1], MAXINT)`` holds
+only ``B x rows x n`` words, with ``rows`` chosen so the tile is ~1 MiB
+(:func:`row_block`); min/argmin run per tile while it is still hot. When
+one tile covers every row the kernel computes the whole array in one
+pass, with no preallocation and no copy. Every tiling is bit-identical:
+numpy's ``argmin`` keeps the smallest-index tie-break within a tile, and
+tiles cover disjoint rows, so each row's argmin is taken over its full
+candidate vector exactly as in the bit-serial ``selected_min``.
 
-Process-parallel APSP destination sharding rides on this tier — see
-:mod:`repro.engine.shard`.
+Counters are not simulated — they are **replayed**: every round charges
+the exact per-iteration delta probed once per machine configuration by
+:mod:`repro.engine.costs` (and the init phase charges the probed init
+delta), through the shared loop in :mod:`repro.engine._loop`. Because one
+MCP round issues a fixed, data-independent instruction stream, the
+replayed totals are bit-identical to the cycle engine's on *every*
+ledger: scalar counters, and — via the machine's lane mask — each lane's
+serial-equivalent ledger. The differential suite in ``tests/engine/``
+pins this across graphs, word widths, lane counts and tile sizes.
+
+Eligibility is the caller's job (:func:`repro.engine.select.resolve_engine`
+— no fault plan, tracer, bus trace, or non-default reduction routines);
+the entry points here re-check and raise :class:`~repro.errors.EngineError`
+if invoked directly on an ineligible machine. Process-parallel APSP
+destination sharding rides on this tier — see :mod:`repro.engine.shard`.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -46,8 +57,6 @@ from repro.engine.select import resolve_engine
 from repro.ppa.machine import PPAMachine
 
 __all__ = [
-    "HAS_NUMBA",
-    "numba_active",
     "row_block",
     "blocked_relax",
     "compiled_kernel_info",
@@ -63,142 +72,48 @@ _BLOCK_TARGET_BYTES = 1 << 20
 #: Floor on rows per tile: below this the Python loop overhead dominates.
 _MIN_BLOCK_ROWS = 16
 
-_DISABLE_ENV = "REPRO_DISABLE_NUMBA"
-_BLOCK_ENV = "REPRO_COMPILED_BLOCK"
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba as _numba
-
-    HAS_NUMBA = True
-except Exception:  # pragma: no cover - the usual case in CI's bare leg
-    _numba = None
-    HAS_NUMBA = False
-
-
-def numba_active() -> bool:
-    """Whether the numba fast path will be used for the next kernel call.
-
-    True only when numba imported successfully *and* ``REPRO_DISABLE_NUMBA``
-    is unset/empty — the CI equivalence matrix runs the same suite with the
-    variable set to force the pure-numpy tiling on a numba-equipped host.
-    """
-    return HAS_NUMBA and not os.environ.get(_DISABLE_ENV)
-
 
 def row_block(batch: int, n: int) -> int:
     """Rows per candidate tile for a ``(batch, n)`` state relaxation.
 
     Sized so one ``batch x rows x n`` int64 tile is ~`_BLOCK_TARGET_BYTES`,
-    floored at ``_MIN_BLOCK_ROWS`` and capped at ``n``. Overridable via the
-    ``REPRO_COMPILED_BLOCK`` environment variable (any positive integer) —
-    a tuning knob only; every block size is bit-identical.
+    floored at ``_MIN_BLOCK_ROWS`` and capped at ``n``.
     """
-    override = os.environ.get(_BLOCK_ENV)
-    if override:
-        return max(1, min(int(override), n))
     rows = _BLOCK_TARGET_BYTES // (max(1, batch) * max(1, n) * 8)
     return max(_MIN_BLOCK_ROWS, min(int(rows), n))
 
 
-def _relax_numpy_blocked(sow: np.ndarray, W: np.ndarray, maxint: int):
-    """Blocked pure-numpy relaxation over row tiles.
+def blocked_relax(sow: np.ndarray, W: np.ndarray, maxint: int):
+    """One relaxation: candidates, row minima, best successors.
 
-    ``sow`` is ``(B, n)``; ``W`` is ``(n, n)`` (shared across lanes) or
-    ``(B, n, n)`` (per lane). Returns ``(new_sow, arg)`` with ``arg`` the
-    smallest-index argmin per row — numpy's ``argmin`` is first-occurrence
-    within a tile, and tiles are visited in index order, so the global
-    tie-break matches the fused kernel exactly.
+    ``sow`` is the row-``d`` state — ``(n,)`` serial or ``(B, n)`` batched;
+    ``W`` is ``(n, n)`` (shared) or ``(B, n, n)`` (per lane). Returns
+    ``(new_sow, arg)`` where ``arg`` is the smallest-index argmin per row,
+    matching the bit-serial ``selected_min`` tie-break over ``COL``.
     """
-    B, n = sow.shape
-    best = np.empty((B, n), dtype=np.int64)
-    arg = np.empty((B, n), dtype=np.int64)
-    sow_b = sow[:, None, :]  # (B, 1, n) broadcast against each row tile
-    step = row_block(B, n)
+    n = sow.shape[-1]
+    batch = 1 if sow.ndim == 1 else sow.shape[0]
+    step = row_block(batch, n)
+    # cand[..., i, j] = min(sow[..., j] + W[..., i, j], MAXINT): the cost of
+    # "go first to j" from node i — statement 10's broadcast + sat_add.
+    sow_b = sow[..., None, :]
+    if step >= n:
+        cand = np.minimum(sow_b + W, maxint)
+        return cand.min(axis=-1), cand.argmin(axis=-1)
+    best = np.empty(sow.shape, dtype=np.int64)
+    arg = np.empty(sow.shape, dtype=np.int64)
     for i0 in range(0, n, step):
         i1 = min(i0 + step, n)
-        tile = W[i0:i1] if W.ndim == 2 else W[:, i0:i1, :]
-        cand = np.minimum(sow_b + tile, maxint)
-        best[:, i0:i1] = cand.min(axis=-1)
-        arg[:, i0:i1] = cand.argmin(axis=-1)
-    return best, arg
-
-
-if HAS_NUMBA:  # pragma: no cover - exercised only where numba is installed
-
-    @_numba.njit(parallel=True, cache=True)
-    def _numba_relax_shared(sow, W, maxint, best, arg):
-        B, n = sow.shape
-        for b in _numba.prange(B):
-            for i in range(n):
-                m = maxint
-                a = 0
-                row = W[i]
-                for j in range(n):
-                    c = sow[b, j] + row[j]
-                    if c > maxint:
-                        c = maxint
-                    if c < m:
-                        m = c
-                        a = j
-                best[b, i] = m
-                arg[b, i] = a
-
-    @_numba.njit(parallel=True, cache=True)
-    def _numba_relax_per_lane(sow, W, maxint, best, arg):
-        B, n = sow.shape
-        for b in _numba.prange(B):
-            for i in range(n):
-                m = maxint
-                a = 0
-                row = W[b, i]
-                for j in range(n):
-                    c = sow[b, j] + row[j]
-                    if c > maxint:
-                        c = maxint
-                    if c < m:
-                        m = c
-                        a = j
-                best[b, i] = m
-                arg[b, i] = a
-
-    def _relax_numba(sow: np.ndarray, W: np.ndarray, maxint: int):
-        B, n = sow.shape
-        best = np.empty((B, n), dtype=np.int64)
-        arg = np.empty((B, n), dtype=np.int64)
-        kernel = _numba_relax_shared if W.ndim == 2 else _numba_relax_per_lane
-        kernel(
-            np.ascontiguousarray(sow),
-            np.ascontiguousarray(W),
-            np.int64(maxint),
-            best,
-            arg,
-        )
-        return best, arg
-
-
-def blocked_relax(sow: np.ndarray, W: np.ndarray, maxint: int):
-    """The compiled tier's relaxation kernel (numba when active, else
-    blocked numpy). Accepts the same shapes as the fused kernel — ``(n,)``
-    or ``(B, n)`` state against ``(n, n)`` or ``(B, n, n)`` weights — and
-    returns bit-identical ``(new_sow, arg)``.
-    """
-    serial = sow.ndim == 1
-    sow2 = sow[None, :] if serial else sow
-    if numba_active():  # pragma: no cover - numba-equipped hosts only
-        best, arg = _relax_numba(sow2, W, maxint)
-    else:
-        best, arg = _relax_numpy_blocked(sow2, W, maxint)
-    if serial:
-        return best[0], arg[0]
+        cand = np.minimum(sow_b + W[..., i0:i1, :], maxint)
+        best[..., i0:i1] = cand.min(axis=-1)
+        arg[..., i0:i1] = cand.argmin(axis=-1)
     return best, arg
 
 
 def compiled_kernel_info() -> dict:
-    """Introspection for docs/CI: which backend the next call uses."""
+    """Introspection for docs/benchmarks: the kernel's backend and tile size."""
     return {
-        "numba_installed": HAS_NUMBA,
-        "numba_active": numba_active(),
-        "backend": "numba" if numba_active() else "numpy-blocked",
+        "backend": "numpy-blocked",
         "block_target_bytes": _BLOCK_TARGET_BYTES,
     }
 
@@ -212,11 +127,11 @@ def compiled_minimum_cost_path(
     max_iterations: int | None = None,
     warm_sow=None,
 ) -> MCPResult:
-    """Single-destination MCP on the compiled tier.
+    """Single-destination MCP on the compiled engine.
 
-    Bit-identical to both ``engine="cycle"`` and ``engine="fused"`` in
-    result *and* counters; callers normally reach it through
-    ``engine="auto"``/``"compiled"`` dispatch rather than directly.
+    Bit-identical to :func:`repro.core.mcp.minimum_cost_path` with
+    ``engine="cycle"`` in result *and* counters; callers normally reach it
+    through ``engine="auto"``/``"compiled"`` dispatch rather than directly.
     """
     resolve_engine(machine, "compiled")  # raises EngineError when ineligible
     return run_analytic_mcp(
@@ -239,12 +154,14 @@ def compiled_batched_minimum_cost_path(
     max_iterations: int | None = None,
     warm_sow=None,
 ):
-    """Batched multi-destination MCP on the compiled tier.
+    """Batched multi-destination MCP on the compiled engine.
 
-    Same contract as :func:`repro.engine.fused.fused_batched_minimum_cost_path`
-    — per-lane SOW/PTN/iterations, batched-stream scalar counters and every
-    lane's serial-equivalent ledger bit-identical to the cycle engine —
-    computed through the cache-blocked kernel.
+    Bit-identical to :func:`repro.core.batched.batched_minimum_cost_path`
+    with ``engine="cycle"``: per-lane SOW/PTN/iterations, the batched-stream
+    scalar counter delta *and* every lane's serial-equivalent ledger. Lane
+    convergence masking happens on the host: a converged lane's state rows
+    freeze and its ledger stops accruing (``set_active_lanes``), exactly as
+    in the cycle loop.
     """
     resolve_engine(machine, "compiled")  # raises EngineError when ineligible
     return run_analytic_batched_mcp(

@@ -1,9 +1,9 @@
-"""Analytic per-iteration cost vectors for the fused engine.
+"""Analytic per-iteration cost vectors for the compiled engine.
 
 The paper's MCP loop issues a **fixed, data-independent** instruction
 stream: below the controller's do-while test there is no data-dependent
 branch, so every iteration charges the machine counters the *same* delta
-(the batched lane ledger of PR 2 already relies on this). The fused
+(the batched lane ledger of PR 2 already relies on this). The compiled
 engine exploits it in the other direction: instead of executing ~35
 Python-level machine primitives per round it executes a handful of numpy
 kernels and charges the counters from a cost vector measured **once**.
@@ -19,7 +19,7 @@ counters — exact partitions of the run's totals, by the telemetry
 exactness invariant — become the init and per-iteration deltas. Any
 change to the cycle engine's charging is therefore picked up
 automatically, and the differential suite in ``tests/engine/`` pins
-fused == cycle bit-for-bit on every ledger.
+compiled == cycle bit-for-bit on every ledger.
 
 Cache key
 ---------
@@ -29,7 +29,7 @@ through the LINEAR bus-cost model, ``h`` through per-bit loops and
 ``B``: a batched machine charges its scalar counters once per SIMD
 instruction — the same increments a serial machine charges — and its
 per-lane ledger replicates those increments into each active lane
-(see :meth:`repro.ppa.machine.PPAMachine._charge`). The fused engine
+(see :meth:`repro.ppa.machine.PPAMachine._charge`). The compiled engine
 therefore applies ``init + iterations[b] * iteration`` per lane and
 ``init + rounds * iteration`` to the scalar book, which the differential
 tests verify lane-for-lane against the batched cycle engine. Probes are
@@ -135,7 +135,7 @@ def _probe(config: PPAConfig) -> MCPCostVector:
     if any(d != deltas[0] for d in deltas[1:]):  # pragma: no cover - invariant
         raise EngineError(
             "cycle-engine iterations are no longer cost-constant; the "
-            "fused engine's analytic replay is invalid for this config"
+            "compiled engine's analytic replay is invalid for this config"
         )
     init = dict(init_span.counters)
     iteration = deltas[0]

@@ -1,6 +1,6 @@
 """Execution-engine selection policy.
 
-Three engines can run the paper's MCP relaxation loop:
+Two engines can run the paper's MCP relaxation loop:
 
 ``cycle``
     The faithful simulator: every bus transaction is an individually
@@ -10,37 +10,25 @@ Three engines can run the paper's MCP relaxation loop:
     non-default reduction routines, because those features observe (or
     perturb) *individual* transactions.
 
-``fused``
-    The analytic-cost engine (:mod:`repro.engine.fused`): one relaxation
-    round collapses into a handful of vectorised numpy kernels, and the
-    machine's counters are charged from a per-iteration cost vector
-    *replayed* from a single cycle-engine iteration
-    (:mod:`repro.engine.costs`). Results and **all** counter ledgers are
-    bit-identical to the cycle engine — but per-transaction observers see
-    nothing, which is why eligibility is gated.
-
 ``compiled``
-    The cache-aware tier (:mod:`repro.engine.compiled`): the same
-    analytic-cost replay as ``fused``, but the min-plus relaxation runs as
-    a *blocked* kernel — row tiles sized to stay cache-resident instead of
-    one whole-array temporary — with an optional numba ``@njit`` fast path
-    detected at import (never required; the pure-numpy tiling is always
-    available). Eligibility conditions are identical to ``fused``; the
-    payoff grows with ``n`` (~4-5x over ``fused`` at ``n = 1024``).
+    The analytic engine (:mod:`repro.engine.compiled`): one relaxation
+    round collapses into cache-blocked numpy kernels, and the machine's
+    counters are charged from a per-iteration cost vector *replayed* from
+    a single cycle-engine iteration (:mod:`repro.engine.costs`). Results
+    and **all** counter ledgers are bit-identical to the cycle engine —
+    but per-transaction observers see nothing, which is why eligibility
+    is gated.
 
 :func:`resolve_engine` implements the policy:
 
-* ``engine="auto"`` (the default everywhere) upgrades to the fastest
-  eligible tier — ``compiled`` on large grids
-  (``n >= COMPILED_AUTO_MIN_N``), ``fused`` below that — and otherwise
-  silently falls back to ``cycle``; existing workflows (fault injection,
-  ``--trace``, profiling, A7/A13 routine ablations) keep their exact
-  behaviour.
+* ``engine="auto"`` (the default everywhere) upgrades to ``compiled``
+  whenever the machine is eligible and otherwise silently falls back to
+  ``cycle``; existing workflows (fault injection, ``--trace``, profiling,
+  A7/A13 routine ablations) keep their exact behaviour.
 * ``engine="cycle"`` always honours the request.
-* ``engine="fused"`` / ``engine="compiled"`` raise
-  :class:`~repro.errors.EngineError` with the blocking reason when the
-  machine is ineligible (the CLI catches this earlier and prints a
-  friendly note instead; see ``repro.cli``).
+* ``engine="compiled"`` raises :class:`~repro.errors.EngineError` with the
+  blocking reason when the machine is ineligible (the CLI catches this
+  earlier and prints a friendly note instead; see ``repro.cli``).
 
 Process-parallel APSP sharding (``all_pairs_minimum_cost(workers=...)``)
 adds one more gate on top of engine eligibility — see
@@ -56,48 +44,11 @@ from repro.errors import EngineError
 __all__ = [
     "EngineChoice",
     "ENGINE_NAMES",
-    "ENGINE_DEGRADE_ORDER",
-    "COMPILED_AUTO_MIN_N",
-    "fused_block_reason",
     "compiled_block_reason",
-    "degrade_engine",
     "resolve_engine",
 ]
 
-ENGINE_NAMES = ("auto", "cycle", "fused", "compiled")
-
-#: Graceful-degradation order used by the serving tier
-#: (:mod:`repro.serve.degrade`): each engine maps to the next tier to try
-#: when the current one fails or is under pressure. All tiers are
-#: bit-identical on results and counters, so walking down the ladder
-#: trades throughput for isolation/diagnosability, never correctness.
-ENGINE_DEGRADE_ORDER = ("compiled", "fused", "cycle")
-
-
-def degrade_engine(name: str) -> str | None:
-    """The next-lower engine tier, or ``None`` at the bottom.
-
-    ``auto`` degrades like ``compiled`` (the fastest tier it can resolve
-    to); ``cycle`` has nothing below it. Unknown names raise
-    :class:`~repro.errors.EngineError`.
-    """
-    if name == "auto":
-        name = ENGINE_DEGRADE_ORDER[0]
-    if name not in ENGINE_NAMES:
-        raise EngineError(
-            f"unknown engine {name!r}; choose one of {ENGINE_NAMES}"
-        )
-    idx = ENGINE_DEGRADE_ORDER.index(name)
-    if idx + 1 >= len(ENGINE_DEGRADE_ORDER):
-        return None
-    return ENGINE_DEGRADE_ORDER[idx + 1]
-
-#: Grid side at which ``auto`` prefers the blocked (compiled) kernels over
-#: whole-array fusion. Below this the fused engine's single temporary fits
-#: cache anyway and the tiling loop is pure overhead; above it the blocked
-#: kernels win by keeping each candidate tile L2-resident. Either choice is
-#: bit-identical — this threshold only picks the faster one.
-COMPILED_AUTO_MIN_N = 256
+ENGINE_NAMES = ("auto", "cycle", "compiled")
 
 
 @dataclass(frozen=True)
@@ -107,11 +58,9 @@ class EngineChoice:
     Attributes
     ----------
     name
-        The engine that will actually run: ``"cycle"``, ``"fused"`` or
-        ``"compiled"``.
+        The engine that will actually run: ``"cycle"`` or ``"compiled"``.
     requested
-        The caller's request (``"auto"``/``"cycle"``/``"fused"``/
-        ``"compiled"``).
+        The caller's request (``"auto"``/``"cycle"``/``"compiled"``).
     reason
         Why the choice was made — for ``auto`` fallbacks this is the
         blocking condition (``"fault plan attached"``...), otherwise a
@@ -122,30 +71,17 @@ class EngineChoice:
     requested: str
     reason: str
 
-    @property
-    def fused(self) -> bool:
-        return self.name == "fused"
 
-    @property
-    def compiled(self) -> bool:
-        return self.name == "compiled"
-
-    @property
-    def analytic(self) -> bool:
-        """True for either analytic-replay tier (``fused``/``compiled``)."""
-        return self.name in ("fused", "compiled")
-
-
-def fused_block_reason(
+def compiled_block_reason(
     machine,
     *,
     min_routine=None,
     selected_min_routine=None,
 ) -> str | None:
-    """The first condition blocking the fused engine, or ``None``.
+    """The first condition blocking the compiled engine, or ``None``.
 
-    The fused engine computes whole rounds without issuing individual bus
-    transactions, so anything that observes (faults, bus trace, span
+    The analytic engine computes whole rounds without issuing individual
+    bus transactions, so anything that observes (faults, bus trace, span
     tracer) or redefines (custom reduction routines) per-transaction
     behaviour forces the cycle engine.
     """
@@ -156,7 +92,7 @@ def fused_block_reason(
     if machine.telemetry.enabled:
         return "span tracer enabled (per-phase attribution needs cycle spans)"
     if machine.trace.enabled:
-        return "bus trace enabled (the fused engine issues no transactions)"
+        return "bus trace enabled (the analytic engine issues no transactions)"
     if min_routine is not None and min_routine is not ppa_min:
         return "non-default min routine (its cost profile is not replayed)"
     if (
@@ -168,29 +104,11 @@ def fused_block_reason(
             "replayed)"
         )
     if machine.n < 2:
-        return "grid side < 2 (nothing to fuse; cycle engine is trivial)"
+        return (
+            "grid side < 2 (nothing for the analytic engine to relax; "
+            "cycle engine is trivial)"
+        )
     return None
-
-
-def compiled_block_reason(
-    machine,
-    *,
-    min_routine=None,
-    selected_min_routine=None,
-) -> str | None:
-    """The first condition blocking the compiled engine, or ``None``.
-
-    The compiled tier charges the same replayed analytic cost vectors as
-    the fused engine and issues no individual bus transactions either, so
-    its eligibility conditions are exactly the fused ones. (numba is an
-    optional fast path, never a requirement — the pure-numpy blocked
-    kernels run everywhere.)
-    """
-    return fused_block_reason(
-        machine,
-        min_routine=min_routine,
-        selected_min_routine=selected_min_routine,
-    )
 
 
 def resolve_engine(
@@ -212,26 +130,21 @@ def resolve_engine(
         )
     if engine == "cycle":
         return EngineChoice("cycle", engine, "cycle engine requested")
-    blocked = fused_block_reason(
+    blocked = compiled_block_reason(
         machine,
         min_routine=min_routine,
         selected_min_routine=selected_min_routine,
     )
-    if engine in ("fused", "compiled"):
+    if engine == "compiled":
         if blocked is not None:
             raise EngineError(
                 f"engine={engine!r} unavailable: {blocked}; use engine='auto' "
                 "to fall back to the cycle engine transparently"
             )
-        return EngineChoice(engine, engine, f"{engine} engine requested")
+        return EngineChoice(engine, engine, "compiled engine requested")
     # auto
     if blocked is not None:
         return EngineChoice("cycle", engine, blocked)
-    if machine.n >= COMPILED_AUTO_MIN_N:
-        return EngineChoice(
-            "compiled",
-            engine,
-            f"large grid (n >= {COMPILED_AUTO_MIN_N}): blocked kernels "
-            "beat whole-array fusion",
-        )
-    return EngineChoice("fused", engine, "machine eligible for fused execution")
+    return EngineChoice(
+        "compiled", engine, "machine eligible for the analytic engine"
+    )

@@ -46,7 +46,7 @@ varies with ``lanes=``.
 
 Cost vectors ride along at fork
 -------------------------------
-The analytic tiers replay counters from per-configuration cost vectors
+The compiled engine replays counters from per-configuration cost vectors
 (:mod:`repro.engine.costs`). The parent probes its vector **once**,
 exports the cache, and ships it to every worker through the spawn
 payload — workers install it and *hit* on every lookup instead of
@@ -165,7 +165,7 @@ def workers_block_reason(
     Returns ``None`` when ``workers > 1`` can be honoured. The conditions
     are about *cross-process observability*, not engine tier — an
     eligible machine may shard the ``cycle`` engine just as well as the
-    analytic tiers (the differential suite does exactly that).
+    compiled one (the differential suite does exactly that).
     """
     from repro.ppc.reductions import ppa_min, ppa_selected_min
 
@@ -624,10 +624,10 @@ def sharded_all_pairs(
         dtype=np.int64,
     )
     # Resolve once in the parent so every worker runs the same concrete
-    # tier ("auto" would resolve identically on each fresh worker machine,
+    # engine ("auto" would resolve identically on each fresh worker machine,
     # but forwarding the name makes the report unambiguous).
     choice = resolve_engine(machine, engine)
-    if choice.analytic:
+    if choice.name == "compiled":
         mcp_cost_vector(machine.config)  # probe once here, ship below
 
     timeout = (

@@ -73,7 +73,7 @@ class WordWidthError(GraphError):
 
 class EngineError(ReproError):
     """An execution-engine request cannot be honoured — e.g. ``engine=
-    "fused"`` on a machine carrying a fault plan, an enabled tracer or bus
+    "compiled"`` on a machine carrying a fault plan, an enabled tracer or bus
     trace, or with non-default reduction routines. ``engine="auto"`` never
     raises this: it transparently falls back to the cycle engine instead."""
 

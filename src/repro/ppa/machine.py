@@ -341,7 +341,7 @@ class PPAMachine:
     def apply_counter_delta(self, delta: dict) -> None:
         """Charge a pre-computed counter delta in one shot.
 
-        Used by the fused engine (:mod:`repro.engine`) to *replay* the
+        Used by the compiled engine (:mod:`repro.engine`) to *replay* the
         exact per-phase cost of a cycle-engine run without issuing the
         individual bus transactions. The delta lands on the scalar book
         and — on a batched machine — on every lane selected by the current

@@ -12,7 +12,7 @@ over persistent named graphs, built robustness-first:
   cancellation, exponential-backoff-with-jitter retries for transient
   failures;
 * **graceful degradation** (:mod:`repro.serve.degrade`) — a ladder that
-  downgrades engine tier (compiled → fused → cycle), worker count and
+  downgrades engine (compiled → cycle), worker count and
   lane batch under pressure or after failures, stamping a
   machine-readable downgrade reason on every affected response;
 * **circuit breaker** (:mod:`repro.serve.breaker`) — around the sharded

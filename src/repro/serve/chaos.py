@@ -28,7 +28,7 @@ Injection kinds (one per run, round-robin over the campaign):
 ``bus-fault``
     Every machine the service builds carries a PR 3
     :class:`~repro.ppa.faults.FaultPlan` (a stuck-open row bus). The
-    analytic tiers refuse faulted machines, the cycle engine computes
+    analytic engine refuses faulted machines, the cycle engine computes
     corrupted answers that the verifier rejects, and the ladder must
     walk down to the resilient rung — whose spare PEs quarantine the
     fault — before an ``ok`` can be served.

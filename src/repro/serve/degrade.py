@@ -1,7 +1,7 @@
 """The graceful-degradation ladder.
 
 Every rung trades serving *throughput* for *isolation and recoverability*
-— never correctness, because all engine tiers are bit-identical and
+— never correctness, because both engines are bit-identical and
 every answer is verified (:mod:`repro.serve.oracle`) before it leaves
 the server. The rungs, top to bottom:
 
@@ -11,9 +11,8 @@ rung  configuration                  typical trigger
 0     compiled, workers, full lanes  healthy
 1     compiled, inline (workers=1)   breaker open / worker crashes
 2     compiled, inline, lanes/4      memory or queue pressure
-3     fused, inline, lanes/4         compiled-tier failure
-4     cycle, inline, lanes/8,        analytic tiers failing / bus-fault
-      resilient executor             recovery
+3     cycle, inline, lanes/8,        analytic engine failing /
+      resilient executor             bus-fault recovery
 ====  =============================  =================================
 
 (the engine column is the *request*; per-machine eligibility may refine
@@ -25,17 +24,18 @@ The ladder keeps one level per graph plus a global floor. Failures
 rung after ``recovery_successes`` consecutive verified answers, so a
 transient incident does not permanently tax the service. Transient
 pressure (admission queue occupancy) adds a per-request bump without
-moving the sticky level. Every response computed below rung 0 carries a
-machine-readable record — rung number, label, engine/workers/lane
-divisor, and the accumulated reasons — satisfying the "recorded
-downgrade reason on every response" serving contract.
+moving the sticky level; pressure alone never reaches below rung 2, so
+only a recorded failure sends a graph to the slow resilient rung. Every
+response computed below rung 0 carries a machine-readable record — rung
+number, label, engine/workers/lane divisor, and the accumulated reasons
+— satisfying the "recorded downgrade reason on every response" serving
+contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.select import ENGINE_DEGRADE_ORDER
 from repro.errors import ConfigurationError
 
 __all__ = ["Rung", "RUNGS", "DegradationLadder"]
@@ -77,13 +77,14 @@ class Rung:
 
 
 RUNGS: tuple[Rung, ...] = (
-    Rung(0, "full", ENGINE_DEGRADE_ORDER[0], True, 1),
-    Rung(1, "inline-workers", ENGINE_DEGRADE_ORDER[0], False, 1),
-    Rung(2, "reduced-lanes", ENGINE_DEGRADE_ORDER[0], False, 4),
-    Rung(3, "fused-tier", ENGINE_DEGRADE_ORDER[1], False, 4),
-    Rung(4, "cycle-resilient", ENGINE_DEGRADE_ORDER[2], False, 8,
-         resilient=True),
+    Rung(0, "full", "compiled", True, 1),
+    Rung(1, "inline-workers", "compiled", False, 1),
+    Rung(2, "reduced-lanes", "compiled", False, 4),
+    Rung(3, "cycle-resilient", "cycle", False, 8, resilient=True),
 )
+
+#: Deepest rung admission pressure can bump a request to.
+_MAX_PRESSURE_LEVEL = 2
 
 
 @dataclass
@@ -132,7 +133,7 @@ class DegradationLadder:
             reasons.append(
                 f"admission pressure {pressure:.2f} (queue backlog)"
             )
-        level = min(level + bump, len(RUNGS) - 1)
+        level = max(level, min(level + bump, _MAX_PRESSURE_LEVEL))
         return RUNGS[level], reasons
 
     def rung_below(self, rung: Rung) -> Rung | None:

@@ -45,7 +45,7 @@ from repro.core.batched import batched_minimum_cost_path
 from repro.core.graph import normalize_weights
 from repro.core.mcp import minimum_cost_path
 from repro.engine.costs import cost_cache_size, cost_cache_stats
-from repro.engine.select import fused_block_reason
+from repro.engine.select import compiled_block_reason
 from repro.errors import ConfigurationError, GraphError, ReproError
 from repro.ppa.machine import PPAMachine
 from repro.ppa.segments import plan_cache_sizes, plan_cache_stats
@@ -81,6 +81,16 @@ __all__ = ["ServiceConfig", "PathQueryService", "default_machine_factory"]
 def default_machine_factory(n: int, word_bits: int) -> PPAMachine:
     """A clean (fault-free) machine of the requested geometry."""
     return PPAMachine(PPAConfig(n=n, word_bits=word_bits))
+
+
+def _rung_engine(rung: Rung, machine: PPAMachine, notes: list) -> str:
+    """The rung's engine, or ``cycle`` (noted) when *machine* cannot run
+    the analytic engine — e.g. a factory that attaches a fault plan."""
+    blocked = compiled_block_reason(machine)
+    if rung.engine != "cycle" and blocked is not None:
+        notes.append(f"engine auto-downgrade to cycle: {blocked}")
+        return "cycle"
+    return rung.engine
 
 
 @dataclass
@@ -1099,11 +1109,7 @@ class PathQueryService:
                        "engine": "cycle+resilient"}
         else:
             machine = self.machine_factory(g.n, g.word_bits)
-            engine = rung.engine
-            blocked = fused_block_reason(machine)
-            if engine != "cycle" and blocked is not None:
-                notes.append(f"engine auto-downgrade to cycle: {blocked}")
-                engine = "cycle"
+            engine = _rung_engine(rung, machine, notes)
             res = minimum_cost_path(machine, g.W, dest, engine=engine)
             payload = {"sow": res.sow, "ptn": res.ptn,
                        "iterations": int(res.iterations), "engine": engine}
@@ -1119,7 +1125,7 @@ class PathQueryService:
         """Lane-batched column compute for one coalesced batch.
 
         ``seeds`` maps dest -> certified warm-start bound vector (or
-        None); seeds ride only on the analytic engines — the cycle
+        None); seeds ride only on the compiled engine — the cycle
         simulator and the resilient executor always run cold (they are
         the ground-truth/recovery paths). ``width`` is the rung-aware
         lane cap: degraded rungs chunk the batch into narrower engine
@@ -1146,11 +1152,7 @@ class PathQueryService:
                                    "engine": "cycle+resilient"}
         else:
             machine = self.machine_factory(g.n, g.word_bits)
-            engine = rung.engine
-            blocked = fused_block_reason(machine)
-            if engine != "cycle" and blocked is not None:
-                notes.append(f"engine auto-downgrade to cycle: {blocked}")
-                engine = "cycle"
+            engine = _rung_engine(rung, machine, notes)
             for base in range(0, len(dests), width):
                 chunk = np.asarray(dests[base:base + width],
                                    dtype=np.int64)
@@ -1216,15 +1218,11 @@ class PathQueryService:
             shard_failures = 0
         elif salvage is not None and workers <= 1:
             # incremental re-solve: only the delta-dirtied columns are
-            # recomputed (warm-started from certified bounds on analytic
-            # engines), spliced into the surviving plane, then the whole
-            # plane is oracle-verified like any other answer
+            # recomputed (warm-started from certified bounds on the
+            # compiled engine), spliced into the surviving plane, then the
+            # whole plane is oracle-verified like any other answer
             machine = self.machine_factory(g.n, g.word_bits)
-            engine = rung.engine
-            blocked = fused_block_reason(machine)
-            if engine != "cycle" and blocked is not None:
-                notes.append(f"engine auto-downgrade to cycle: {blocked}")
-                engine = "cycle"
+            engine = _rung_engine(rung, machine, notes)
             dist = np.array(salvage["dist"], copy=True)
             succ = np.array(salvage["succ"], copy=True)
             iterations = np.array(salvage["iterations"], copy=True)
@@ -1248,11 +1246,7 @@ class PathQueryService:
             incremental = int(dirty.size)
         else:
             machine = self.machine_factory(g.n, g.word_bits)
-            engine = rung.engine
-            blocked = fused_block_reason(machine)
-            if engine != "cycle" and blocked is not None:
-                notes.append(f"engine auto-downgrade to cycle: {blocked}")
-                engine = "cycle"
+            engine = _rung_engine(rung, machine, notes)
             res = all_pairs_minimum_cost(
                 machine, g.W, engine=engine, lanes=lanes,
                 workers=workers if workers > 1 else None,

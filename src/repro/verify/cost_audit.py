@@ -15,7 +15,7 @@ of the MCP cost profile:
    data-independent-cost violation and the mismatch is localised to the
    first ``pc`` whose per-round execution-count delta is not constant.
 
-2. **analytic** — :func:`repro.engine.costs.mcp_cost_vector`, the fused
+2. **analytic** — :func:`repro.engine.costs.mcp_cost_vector`, the compiled
    engine's replayed per-round vector, probed from the *native* Python
    implementation. Native and assembly renditions are counter-identical
    on the communication ledger (the equality the repo's parity tests

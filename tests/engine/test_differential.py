@@ -1,6 +1,6 @@
-"""Differential cross-validation: fused == cycle, bit for bit.
+"""Differential cross-validation: compiled == cycle, bit for bit.
 
-The fused engine's contract is *exact* equivalence with the cycle engine —
+The compiled engine's contract is *exact* equivalence with the cycle engine —
 SOW, PTN, iteration counts, the scalar counter book, and (batched) every
 lane's serial-equivalent ledger. These property tests drive both engines
 over random graphs, word widths, lane counts and convergence patterns and
@@ -39,10 +39,11 @@ def _run_pair(n, word_bits, W, d):
     cycle = minimum_cost_path(
         PPAMachine(PPAConfig(n=n, word_bits=word_bits)), W, d, engine="cycle"
     )
-    fused = minimum_cost_path(
-        PPAMachine(PPAConfig(n=n, word_bits=word_bits)), W, d, engine="fused"
+    comp = minimum_cost_path(
+        PPAMachine(PPAConfig(n=n, word_bits=word_bits)), W, d,
+        engine="compiled",
     )
-    return cycle, fused
+    return cycle, comp
 
 
 class TestSerialEquivalence:
@@ -50,20 +51,20 @@ class TestSerialEquivalence:
     @settings(max_examples=60)
     def test_sow_ptn_iterations_counters(self, case):
         n, word_bits, W, d = case
-        cycle, fused = _run_pair(n, word_bits, W, d)
-        assert np.array_equal(cycle.sow, fused.sow)
-        assert np.array_equal(cycle.ptn, fused.ptn)
-        assert cycle.iterations == fused.iterations
-        assert cycle.counters == fused.counters
+        cycle, comp = _run_pair(n, word_bits, W, d)
+        assert np.array_equal(cycle.sow, comp.sow)
+        assert np.array_equal(cycle.ptn, comp.ptn)
+        assert cycle.iterations == comp.iterations
+        assert cycle.counters == comp.counters
 
     def test_edgeless_graph(self):
         n = 6
         machine = PPAMachine(PPAConfig(n=n, word_bits=16))
         W = np.full((n, n), machine.maxint, dtype=np.int64)
         np.fill_diagonal(W, 0)
-        cycle, fused = _run_pair(n, 16, W, 2)
-        assert cycle.iterations == fused.iterations == 1
-        assert cycle.counters == fused.counters
+        cycle, comp = _run_pair(n, 16, W, 2)
+        assert cycle.iterations == comp.iterations == 1
+        assert cycle.counters == comp.counters
 
     def test_zero_diagonal_set_mode(self):
         rng = np.random.default_rng(3)
@@ -74,7 +75,7 @@ class TestSerialEquivalence:
         )
         b = minimum_cost_path(
             PPAMachine(PPAConfig(n=5, word_bits=16)), W, 1,
-            zero_diagonal="set", engine="fused",
+            zero_diagonal="set", engine="compiled",
         )
         assert np.array_equal(a.sow, b.sow)
         assert np.array_equal(a.ptn, b.ptn)
@@ -87,7 +88,7 @@ class TestSerialEquivalence:
         np.fill_diagonal(W, 0)
         W[1, 0] = 1
         W[2, 1] = 1
-        for engine in ("cycle", "fused"):
+        for engine in ("cycle", "compiled"):
             with pytest.raises(GraphError, match="did not converge"):
                 minimum_cost_path(
                     PPAMachine(PPAConfig(n=3, word_bits=16)),
@@ -104,8 +105,8 @@ class TestSerialEquivalence:
         W[3, 2] = 2
         W[1, 0] = 5
         W[2, 0] = 5
-        cycle, fused = _run_pair(4, 16, W, 0)
-        assert np.array_equal(cycle.ptn, fused.ptn)
+        cycle, comp = _run_pair(4, 16, W, 0)
+        assert np.array_equal(cycle.ptn, comp.ptn)
         assert cycle.ptn[3] == 1  # not 2
 
 
@@ -141,7 +142,7 @@ class TestBatchedEquivalence:
         )
         rf = batched_minimum_cost_path(
             PPAMachine(PPAConfig(n=n, word_bits=word_bits), batch=B),
-            W, dest, engine="fused",
+            W, dest, engine="compiled",
         )
         assert np.array_equal(rc.sow, rf.sow)
         assert np.array_equal(rc.ptn, rf.ptn)
@@ -154,7 +155,7 @@ class TestBatchedEquivalence:
             ), name
 
     def test_fused_lane_ledger_matches_serial_runs(self):
-        """Lane b of the fused batched ledger == a serial run of lane b —
+        """Lane b of the compiled batched ledger == a serial run of lane b —
         the same invariant the batched cycle engine guarantees."""
         rng = np.random.default_rng(11)
         n = 6
@@ -164,7 +165,7 @@ class TestBatchedEquivalence:
         np.fill_diagonal(W, 0)
         res = batched_minimum_cost_path(
             PPAMachine(PPAConfig(n=n, word_bits=16), batch=n),
-            W, np.arange(n), engine="fused",
+            W, np.arange(n), engine="compiled",
         )
         for b in range(n):
             serial = minimum_cost_path(
@@ -182,7 +183,7 @@ class TestBatchedEquivalence:
         W = rng.integers(1, 9, size=(4, 4)).astype(np.int64)
         np.fill_diagonal(W, 0)
         machine = PPAMachine(PPAConfig(n=4, word_bits=16))
-        res = batched_minimum_cost_path(machine, W, [0, 2], engine="fused")
+        res = batched_minimum_cost_path(machine, W, [0, 2], engine="compiled")
         assert res.batch == 2
         # scalar book shared with the caller's machine
         assert machine.counters.snapshot() != {}
@@ -193,7 +194,7 @@ class TestBatchedEquivalence:
         np.fill_diagonal(W, 0)
         W[1, 0] = 1
         W[2, 1] = 1
-        for engine in ("cycle", "fused"):
+        for engine in ("cycle", "compiled"):
             with pytest.raises(GraphError, match="did not converge"):
                 batched_minimum_cost_path(
                     PPAMachine(PPAConfig(n=3, word_bits=16), batch=2),
@@ -216,7 +217,7 @@ class TestApspEquivalence:
         )
         rf = all_pairs_minimum_cost(
             PPAMachine(PPAConfig(n=n, word_bits=16)), W,
-            lanes=lanes, engine="fused",
+            lanes=lanes, engine="compiled",
         )
         assert np.array_equal(rc.dist, rf.dist)
         assert np.array_equal(rc.succ, rf.succ)
@@ -239,7 +240,7 @@ class TestApspEquivalence:
         )
         rf = all_pairs_minimum_cost(
             PPAMachine(PPAConfig(n=n, word_bits=16)), W,
-            serial=True, engine="fused",
+            serial=True, engine="compiled",
         )
         assert np.array_equal(rc.dist, rf.dist)
         assert rc.counters == rf.counters
@@ -270,12 +271,12 @@ class TestPlanCacheIndependence:
         clear_cost_cache()
         cold_cycle = run("cycle")
         warm_cycle = run("cycle")
-        cold_fused = run("fused")  # cost cache cold: probes here
-        warm_fused = run("fused")
-        assert cold_cycle[0] == warm_cycle[0] == cold_fused[0] == warm_fused[0]
+        cold_comp = run("compiled")  # cost cache cold: probes here
+        warm_comp = run("compiled")
+        assert cold_cycle[0] == warm_cycle[0] == cold_comp[0] == warm_comp[0]
         for name in cold_cycle[1]:
             ref = cold_cycle[1][name]
-            for book in (warm_cycle[1], cold_fused[1], warm_fused[1]):
+            for book in (warm_cycle[1], cold_comp[1], warm_comp[1]):
                 assert np.array_equal(book[name], ref), name
 
     def test_fused_probe_may_warm_plan_caches_harmlessly(self, machine8):
@@ -286,5 +287,5 @@ class TestPlanCacheIndependence:
         rng = np.random.default_rng(32)
         W = rng.integers(1, 9, size=(8, 8)).astype(np.int64)
         np.fill_diagonal(W, 0)
-        res = minimum_cost_path(machine8, W, 0, engine="fused")
+        res = minimum_cost_path(machine8, W, 0, engine="compiled")
         assert res.counters == machine8.counters.snapshot()

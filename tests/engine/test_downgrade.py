@@ -1,24 +1,18 @@
 """Engine auto-downgrade: every blocker, silent fallback, CLI notes.
 
-For each condition that makes the analytic tiers ineligible, three
-things must hold: :func:`fused_block_reason` /
-:func:`compiled_block_reason` name it, ``engine="auto"`` falls back to
-the cycle engine *silently with bit-identical results*, and the CLI
-surfaces the downgrade as a note (never an error). The serving ladder
-builds on the same helpers via :func:`degrade_engine`.
+For each condition that makes the analytic engine ineligible, three
+things must hold: :func:`compiled_block_reason` names it,
+``engine="auto"`` falls back to the cycle engine *silently with
+bit-identical results*, and the CLI surfaces the downgrade as a note
+(never an error). Tests named ``fused`` predate the fold of the fused
+engine into ``compiled``; they pin the same behaviour on ``compiled``.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import minimum_cost_path
-from repro.engine import (
-    ENGINE_DEGRADE_ORDER,
-    compiled_block_reason,
-    degrade_engine,
-    fused_block_reason,
-    resolve_engine,
-)
+from repro.engine import compiled_block_reason, resolve_engine
 from repro.cli import main
 from repro.errors import EngineError
 from repro.ppa import FaultKind, FaultPlan, PPAConfig, PPAMachine
@@ -91,10 +85,13 @@ class TestEveryBlocker:
                                           fragment):
         machine = PPAMachine(PPAConfig(n=8, word_bits=16))
         mutate(machine)
-        fused = fused_block_reason(machine, **routines)
-        compiled = compiled_block_reason(machine, **routines)
-        assert fused is not None and fragment in fused
-        assert compiled == fused  # same eligibility conditions
+        reason = compiled_block_reason(machine, **routines)
+        assert reason is not None and fragment in reason
+        # the library error and the auto fallback carry the same reason
+        with pytest.raises(EngineError, match="unavailable") as err:
+            resolve_engine(machine, "compiled", **routines)
+        assert reason in str(err.value)
+        assert resolve_engine(machine, "auto", **routines).reason == reason
 
     def test_auto_falls_back_silently_and_identically(self, _, mutate,
                                                       routines, fragment):
@@ -122,26 +119,8 @@ class TestEveryBlocker:
                                           fragment):
         machine = PPAMachine(PPAConfig(n=8, word_bits=16))
         mutate(machine)
-        for engine in ("fused", "compiled"):
-            with pytest.raises(EngineError, match="unavailable"):
-                resolve_engine(machine, engine, **routines)
-
-
-class TestDegradeOrder:
-    def test_order_is_compiled_fused_cycle(self):
-        assert ENGINE_DEGRADE_ORDER == ("compiled", "fused", "cycle")
-
-    def test_degrade_steps_walk_the_order(self):
-        assert degrade_engine("compiled") == "fused"
-        assert degrade_engine("fused") == "cycle"
-        assert degrade_engine("cycle") is None
-
-    def test_auto_degrades_like_compiled(self):
-        assert degrade_engine("auto") == "fused"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(EngineError, match="unknown engine"):
-            degrade_engine("turbo")
+        with pytest.raises(EngineError, match="unavailable"):
+            resolve_engine(machine, "compiled", **routines)
 
 
 class TestCliDowngradeNotes:
@@ -149,25 +128,25 @@ class TestCliDowngradeNotes:
 
     def test_fused_with_fault_prints_note(self, capsys):
         rc = main(["mcp", "--generate", "gnp", "--n", "6", "-d", "0",
-                   "--engine", "fused", "--fault", "1,2,open,0"])
+                   "--engine", "compiled", "--fault", "1,2,open,0"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "note: engine 'fused' unavailable" in out
+        assert "note: engine 'compiled' unavailable" in out
         assert "fault plan" in out
 
     def test_fused_with_resilient_prints_note(self, capsys):
         rc = main(["mcp", "--generate", "gnp", "--n", "6", "-d", "0",
-                   "--engine", "fused", "--resilient"])
+                   "--engine", "compiled", "--resilient"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "note: engine 'fused' unavailable" in out
+        assert "note: engine 'compiled' unavailable" in out
 
     def test_profile_notes_fused_downgrade(self, capsys):
         rc = main(["profile", "--generate", "gnp", "--n", "6",
-                   "--engine", "fused"])
+                   "--engine", "compiled"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "note: engine 'fused' unavailable" in out
+        assert "note: engine 'compiled' unavailable" in out
 
     def test_apsp_workers_blocked_prints_note(self, capsys):
         rc = main(["apsp", "--generate", "gnp", "--n", "6",
@@ -178,7 +157,7 @@ class TestCliDowngradeNotes:
 
     def test_eligible_run_prints_no_note(self, capsys):
         rc = main(["mcp", "--generate", "gnp", "--n", "6", "-d", "0",
-                   "--engine", "fused"])
+                   "--engine", "compiled"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "note:" not in out

@@ -61,7 +61,7 @@ class TestWorkerInvariance:
         _assert_equal(base, res, f"workers={workers}")
         assert res.shard_report["workers"] == workers
 
-    @pytest.mark.parametrize("engine", ["cycle", "fused", "compiled"])
+    @pytest.mark.parametrize("engine", ["cycle", "compiled"])
     def test_every_engine_shards_identically(self, engine):
         n = 9
         W = _graph(n, seed=3)
@@ -108,7 +108,7 @@ class TestCostCacheShipping:
         n = 10
         W = _graph(n, seed=9)
         res = all_pairs_minimum_cost(
-            PPAMachine(PPAConfig(n=n)), W, workers=2, engine="fused"
+            PPAMachine(PPAConfig(n=n)), W, workers=2, engine="compiled"
         )
         stats = [w["cost_cache"] for w in res.shard_report["worker_stats"]]
         assert len(stats) == 2

@@ -24,7 +24,7 @@ from repro.serve.delta import (
     certify_warm_plane,
 )
 
-ENGINES = ("fused", "compiled")
+ENGINES = ("compiled",)
 
 
 def machine(n, word_bits=16):
@@ -114,8 +114,8 @@ class TestWarmEqualsCold:
         n = 8
         m = machine(n)
         W = random_grid(n, rng)
-        cold = all_pairs_minimum_cost(m, W, engine="fused")
-        warm = all_pairs_minimum_cost(m, W, engine="fused",
+        cold = all_pairs_minimum_cost(m, W, engine="compiled")
+        warm = all_pairs_minimum_cost(m, W, engine="compiled",
                                       warm_sow=cold.dist)
         np.testing.assert_array_equal(warm.dist, cold.dist)
         np.testing.assert_array_equal(warm.succ, cold.succ)

@@ -242,7 +242,7 @@ class TestPlanCacheObservability:
         W = gnp_digraph(8, 0.4, seed=1, weights=WeightSpec(1, 9),
                         inf_value=machine.maxint)
         # Per-transaction observability is a cycle-engine property — the
-        # fused engine issues no bus transactions at all.
+        # analytic engine issues no bus transactions at all.
         res = minimum_cost_path(machine, W, 2, engine="cycle")
         stats = machine.counters.plan_cache
         h = machine.word_bits

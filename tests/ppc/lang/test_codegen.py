@@ -58,6 +58,14 @@ class TestExpressions:
         c, i = both(src)
         assert np.array_equal(c.globals["A"], i.globals["A"])
 
+    def test_complement_of_negative_plane(self):
+        # a broadcast negative constant lies outside the word; ~ must still
+        # mask to MAXINT like the interpreter does
+        src = "parallel int A; void main() { A = ~shift(0 - 1, NORTH); }"
+        c, i = both(src)
+        assert np.array_equal(c.globals["A"], i.globals["A"])
+        assert (c.globals["A"] == 0).all()
+
     def test_constant_folding(self):
         prog = compile_to_asm(
             "parallel int A; void main() { A = (N - 1) * h + MAXINT % 7; }",

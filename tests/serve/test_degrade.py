@@ -7,25 +7,27 @@ from repro.serve.degrade import RUNGS, DegradationLadder, Rung
 
 
 class TestRungTable:
-    def test_five_rungs_top_to_bottom(self):
-        assert len(RUNGS) == 5
-        assert [r.index for r in RUNGS] == [0, 1, 2, 3, 4]
-        assert RUNGS[0].engine == "compiled" and RUNGS[0].use_workers
-        assert RUNGS[3].engine == "fused"
-        assert RUNGS[4].engine == "cycle" and RUNGS[4].resilient
+    def test_four_rungs_top_to_bottom(self):
+        assert [(r.index, r.label, r.engine, r.use_workers, r.lane_div,
+                 r.resilient) for r in RUNGS] == [
+            (0, "full", "compiled", True, 1, False),
+            (1, "inline-workers", "compiled", False, 1, False),
+            (2, "reduced-lanes", "compiled", False, 4, False),
+            (3, "cycle-resilient", "cycle", False, 8, True),
+        ]
 
     def test_monotone_loss_of_capability(self):
         # workers are only at the top; lane divisor never shrinks going down
-        assert [r.use_workers for r in RUNGS] == [True] + [False] * 4
+        assert [r.use_workers for r in RUNGS] == [True] + [False] * 3
         divs = [r.lane_div for r in RUNGS]
         assert divs == sorted(divs)
 
     def test_record_is_machine_readable(self):
-        rec = RUNGS[3].record(["fused-tier probe", "pressure"], workers=1)
+        rec = RUNGS[2].record(["reduced-lanes probe", "pressure"], workers=1)
         assert rec == {
-            "rung": 3, "label": "fused-tier", "engine": "fused",
+            "rung": 2, "label": "reduced-lanes", "engine": "compiled",
             "workers": 1, "lane_div": 4, "resilient": False,
-            "reasons": ["fused-tier probe", "pressure"],
+            "reasons": ["reduced-lanes probe", "pressure"],
         }
 
 
@@ -53,9 +55,34 @@ class TestSelection:
 
     def test_bump_saturates_at_the_bottom(self):
         ladder = DegradationLadder()
-        ladder.record_failure("g", RUNGS[3], "x")  # level 4
+        ladder.record_failure("g", RUNGS[2], "x")  # level 3
         rung, _ = ladder.rung_for("g", pressure=1.0)
-        assert rung.index == 4
+        assert rung.index == 3
+
+    # (sticky level, breaker open) -> rung label at pressure 0 / 0.5 / 0.9.
+    # Pressure bumps stop at reduced-lanes: only a recorded failure
+    # reaches the slow cycle-resilient rung.
+    SELECTION_TABLE = {
+        (0, False): ("full", "inline-workers", "reduced-lanes"),
+        (1, False): ("inline-workers", "reduced-lanes", "reduced-lanes"),
+        (2, False): ("reduced-lanes", "reduced-lanes", "reduced-lanes"),
+        (3, False): ("cycle-resilient",) * 3,
+        (0, True): ("inline-workers", "reduced-lanes", "reduced-lanes"),
+        (1, True): ("inline-workers", "reduced-lanes", "reduced-lanes"),
+        (2, True): ("reduced-lanes", "reduced-lanes", "reduced-lanes"),
+        (3, True): ("cycle-resilient",) * 3,
+    }
+
+    @pytest.mark.parametrize("level, breaker_open", sorted(SELECTION_TABLE))
+    def test_full_selection_table(self, level, breaker_open):
+        ladder = DegradationLadder()
+        if level:
+            ladder.record_failure("g", RUNGS[level - 1], "x")
+        for pressure, label in zip((0.0, 0.5, 0.9),
+                                   self.SELECTION_TABLE[level, breaker_open]):
+            rung, _ = ladder.rung_for("g", pressure=pressure,
+                                      breaker_open=breaker_open)
+            assert rung.label == label, (level, breaker_open, pressure)
 
 
 class TestStickiness:
@@ -78,7 +105,7 @@ class TestStickiness:
         seen = [rung.index]
         while (rung := ladder.rung_below(rung)) is not None:
             seen.append(rung.index)
-        assert seen == [0, 1, 2, 3, 4]
+        assert seen == [0, 1, 2, 3]
 
 
 class TestRecovery:

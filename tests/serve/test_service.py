@@ -308,7 +308,8 @@ class TestDegradation:
             assert resp.result["sow"] == want
             # the downgrade is recorded, machine-readably
             assert resp.degraded is not None
-            assert resp.degraded["rung"] == 4
+            assert resp.degraded["rung"] == 3
+            assert resp.degraded["label"] == "cycle-resilient"
             assert resp.degraded["resilient"]
             assert resp.degraded["reasons"]
             assert service.counters["verify_rejections"] >= 1

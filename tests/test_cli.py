@@ -467,12 +467,16 @@ class TestResilientFlag:
 
 
 class TestEngineFlag:
-    """``--engine {auto,cycle,fused}`` on mcp/apsp/profile."""
+    """``--engine {auto,cycle,compiled}`` on mcp/apsp/profile.
+
+    Tests named ``fused`` predate the fold of the fused engine into
+    ``compiled``; they pin the same behaviour on ``compiled``.
+    """
 
     def _counters_line(self, out):
         return [ln for ln in out.splitlines() if ln.startswith("counters:")]
 
-    @pytest.mark.parametrize("engine", ["auto", "cycle", "fused"])
+    @pytest.mark.parametrize("engine", ["auto", "cycle", "compiled"])
     def test_mcp_accepts_every_engine(self, engine, capsys):
         assert main(["mcp", "--generate", "gnp", "--n", "6", "--seed", "1",
                      "-d", "2", "--engine", engine]) == 0
@@ -483,54 +487,56 @@ class TestEngineFlag:
         argv = ["mcp", "--generate", "gnp", "--n", "7", "--seed", "5", "-d", "1"]
         main(argv + ["--engine", "cycle"])
         cycle = self._counters_line(capsys.readouterr().out)
-        main(argv + ["--engine", "fused"])
-        fused = self._counters_line(capsys.readouterr().out)
-        assert cycle == fused
+        main(argv + ["--engine", "compiled"])
+        compiled = self._counters_line(capsys.readouterr().out)
+        assert cycle == compiled
 
     def test_mcp_unknown_engine_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["mcp", "--generate", "gnp", "--n", "6", "--engine", "warp"])
-        assert "invalid choice" in capsys.readouterr().err
+        for engine in ("warp", "fused"):
+            with pytest.raises(SystemExit):
+                main(["mcp", "--generate", "gnp", "--n", "6",
+                      "--engine", engine])
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_fused_with_trace_downgrades_with_note(self, capsys):
         assert main(["mcp", "--generate", "gnp", "--n", "6", "--seed", "1",
-                     "-d", "0", "--engine", "fused", "--trace"]) == 0
+                     "-d", "0", "--engine", "compiled", "--trace"]) == 0
         out = capsys.readouterr().out
-        assert "note: engine 'fused' unavailable" in out
+        assert "note: engine 'compiled' unavailable" in out
         assert "results are identical" in out
         assert "bus transactions:" in out  # the cycle run really traced
 
     def test_fused_with_faults_downgrades_with_note(self, capsys):
         assert main(["mcp", "--generate", "gnp", "--n", "6", "--seed", "1",
-                     "--engine", "fused", "--fault", "1,1,open"]) == 0
-        assert "note: engine 'fused' unavailable" in capsys.readouterr().out
+                     "--engine", "compiled", "--fault", "1,1,open"]) == 0
+        assert "note: engine 'compiled' unavailable" in capsys.readouterr().out
 
     def test_fused_with_resilient_downgrades_with_note(self, capsys):
         assert main(["mcp", "--generate", "gnp", "--n", "6", "--seed", "3",
-                     "-d", "2", "--resilient", "--engine", "fused"]) == 0
-        assert "note: engine 'fused' unavailable" in capsys.readouterr().out
+                     "-d", "2", "--resilient", "--engine", "compiled"]) == 0
+        assert "note: engine 'compiled' unavailable" in capsys.readouterr().out
 
     def test_fused_with_profile_downgrades_with_note(self, tmp_path, capsys):
         path = tmp_path / "prof.json"
         assert main(["mcp", "--generate", "gnp", "--n", "6", "--seed", "1",
-                     "--engine", "fused", "--profile", str(path)]) == 0
+                     "--engine", "compiled", "--profile", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "note: engine 'fused' unavailable" in out
+        assert "note: engine 'compiled' unavailable" in out
         assert path.exists()
 
     def test_fused_off_ppa_downgrades_with_note(self, capsys):
         assert main(["mcp", "--generate", "gnp", "--n", "6", "--arch", "mesh",
-                     "--engine", "fused"]) == 0
+                     "--engine", "compiled"]) == 0
         out = capsys.readouterr().out
-        assert "note: engine 'fused' unavailable" in out
+        assert "note: engine 'compiled' unavailable" in out
         assert "PPA only" in out
 
     def test_fused_with_word_parallel_downgrades_with_note(self, capsys):
         assert main(["mcp", "--generate", "ring", "--n", "5",
-                     "--word-parallel", "--engine", "fused"]) == 0
-        assert "note: engine 'fused' unavailable" in capsys.readouterr().out
+                     "--word-parallel", "--engine", "compiled"]) == 0
+        assert "note: engine 'compiled' unavailable" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("engine", ["cycle", "fused"])
+    @pytest.mark.parametrize("engine", ["cycle", "compiled"])
     def test_apsp_accepts_engine(self, engine, capsys):
         assert main(["apsp", "--generate", "gnp", "--n", "6", "--seed", "2",
                      "--engine", engine]) == 0
@@ -540,13 +546,13 @@ class TestEngineFlag:
         argv = ["apsp", "--generate", "gnp", "--n", "6", "--seed", "2"]
         main(argv + ["--engine", "cycle"])
         cycle = self._counters_line(capsys.readouterr().out)
-        main(argv + ["--engine", "fused"])
-        fused = self._counters_line(capsys.readouterr().out)
-        assert cycle == fused
+        main(argv + ["--engine", "compiled"])
+        compiled = self._counters_line(capsys.readouterr().out)
+        assert cycle == compiled
 
     def test_profile_command_downgrades_fused_with_note(self, capsys):
         assert main(["profile", "--generate", "gnp", "--n", "6", "--seed", "1",
-                     "--engine", "fused"]) == 0
+                     "--engine", "compiled"]) == 0
         out = capsys.readouterr().out
-        assert "note: engine 'fused' unavailable" in out
+        assert "note: engine 'compiled' unavailable" in out
         assert "span tracer" in out
