@@ -8,9 +8,10 @@ compiled tier and the native roofline"): cache-blocked min-plus kernels
 instances:
 
 * **against whole-array relaxation** — the same compiled APSP with
-  :func:`~repro.engine.compiled.row_block` patched to ``n``, so every
-  relaxation computes the full ``(lanes, n, n)`` candidate array in one
-  pass. The default tiles plus ``workers > 1`` must be bit-identical on
+  :func:`~repro.engine.compiled.blocked_relax` patched to a dense
+  reference that computes the full ``(lanes, n, n)`` candidate array in
+  one pass. The default kernel (whichever layout it picks) plus
+  ``workers > 1`` must be bit-identical on
   every ledger (and, through the differential suite, to ``cycle``) and
   at least ``MIN_SPEEDUP``x faster on the batched n=1024 APSP — a
   same-host ratio;
@@ -82,10 +83,17 @@ def _timed(fn, rounds: int):
     return best, result
 
 
+def _whole_array_relax(sow, W, maxint):
+    """Dense whole-array reference kernel: the full ``(lanes, n, n)``
+    candidate array in one pass, whatever layout the engine would pick."""
+    cand = np.minimum(sow[..., None, :] + W, maxint)
+    return cand.min(axis=-1), cand.argmin(axis=-1)
+
+
 def _whole_array(fn):
-    """Run *fn* with one candidate tile covering every row."""
+    """Run *fn* with the dense whole-array reference as the kernel."""
     def run():
-        with mock.patch.object(compiled, "row_block", lambda batch, n: n):
+        with mock.patch.object(compiled, "blocked_relax", _whole_array_relax):
             return fn()
     return run
 

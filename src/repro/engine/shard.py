@@ -461,6 +461,12 @@ class _ShardSupervisor:
     def _fail(self, shard: int, kind: str, detail: str) -> None:
         entry = self._live.pop(shard)
         proc = entry["proc"]
+        if kind == "error":
+            # The worker reported and is exiting by itself. A kill now can
+            # land after its feeder thread sent the report but before it
+            # released the queue's cross-process write lock: the lock then
+            # stays held and every later report blocks until its deadline.
+            proc.join(_EXIT_DRAIN_GRACE)
         if proc.is_alive():
             proc.kill()
         proc.join()

@@ -127,6 +127,19 @@ class TestWorkerErrors:
         assert failures[0]["kind"] == "error"
         assert "injected worker exception" in failures[0]["detail"]
 
+    def test_reported_error_never_blocks_later_reports(self, inline_result):
+        """A worker that reported its error is joined, not killed: a kill
+        racing its release of the queue's shared write lock would leave
+        the lock held and every later report stuck until its deadline."""
+        W, ref = inline_result
+        for _ in range(6):
+            set_shard_chaos(raise_shards={0: 2})
+            res = sharded_all_pairs(_machine(), W, workers=2,
+                                    shard_timeout=5.0)
+            _assert_same_answers(res, ref)
+            kinds = [f["kind"] for f in res.shard_report["failures"]]
+            assert kinds == ["error", "error"], kinds
+
     def test_shard_failure_to_dict_roundtrip(self):
         failure = ShardFailure(shard=1, destinations=(5, 10),
                                kind="crash", detail="exitcode -9",
